@@ -17,6 +17,7 @@ __all__ = [
     "ExperimentError",
     "ServiceError",
     "ShardDiedError",
+    "GraphNotHeld",
 ]
 
 
@@ -57,3 +58,9 @@ class ShardDiedError(ServiceError):
     was in flight or before it could be sent.  The request was *not*
     completed; idempotent requests may be retried once the shard is
     restarted or reattached."""
+
+
+class GraphNotHeld(ServiceError):
+    """A request named its graph by digest (see
+    :mod:`repro.service.shipping`) and this service does not hold it;
+    the sender resends once with the graph attached."""

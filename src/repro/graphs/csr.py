@@ -20,6 +20,7 @@ graphs (see :mod:`repro.incremental.updates`).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -72,6 +73,7 @@ class CSRGraph:
         "_unit_edge_weights",
         "_unit_node_weights",
         "_integer_edge_weights",
+        "_digest",
     )
 
     def __init__(
@@ -161,6 +163,7 @@ class CSRGraph:
         self._unit_edge_weights: Optional[bool] = None
         self._unit_node_weights: Optional[bool] = None
         self._integer_edge_weights: Optional[bool] = None
+        self._digest: Optional[str] = None
         # Freeze all array state so accidental in-place mutation by callers
         # fails loudly instead of silently corrupting shared graphs.
         for name in (
@@ -291,6 +294,31 @@ class CSRGraph:
             u = bool(np.all(self.edge_weights == np.trunc(self.edge_weights)))
             self._integer_edge_weights = u
         return u
+
+    def digest(self) -> str:
+        """Stable content digest (hex), computed once per instance.
+
+        Hashes the canonical edge arrays (deduplicated and sorted at
+        construction, so any edge ordering of the same graph digests
+        identically), the weights, and the coordinates when present —
+        two graphs share a digest iff they are ``==``.
+        """
+        # getattr: graphs pickled before the slot existed restore without it
+        d = getattr(self, "_digest", None)
+        if d is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(str(self.n_nodes).encode())
+            for arr in (
+                self.edges_u,
+                self.edges_v,
+                self.edge_weights,
+                self.node_weights,
+            ):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            if self.coords is not None:
+                h.update(np.ascontiguousarray(self.coords).tobytes())
+            d = self._digest = h.hexdigest()
+        return d
 
     def iter_edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(u, v, weight)`` per undirected edge (canonical order)."""

@@ -58,6 +58,7 @@ repro_shard_up                            gauge      shard
 repro_shard_deaths_total /
   _restarts_total / _reattach_total       counter    shard
 repro_sessions_routed_total               counter    —
+repro_graph_ships_total                   counter    mode
 ========================================  =========  =======================
 """
 

@@ -10,7 +10,8 @@ addressing with epoch-numbered ring versions (:mod:`.ring`),
 digest-sharded multi-process serving with supervision/auto-restart and
 elastic resize (:mod:`.sharding`, ``serve --shards N``,
 ``repro-partition ring``) over pipe or socket transports (:mod:`.transport`,
-``serve --shard-listen`` / ``--attach-shard``), session failover
+``serve --shard-listen`` / ``--attach-shard``) that ship each graph
+digest first (:mod:`.shipping`), session failover
 snapshots (:mod:`.persistence`), streaming incremental sessions with
 overlapped updates (:mod:`.sessions`), a method portfolio racer
 (:mod:`.portfolio`), and two frontends — a stdlib HTTP endpoint with
@@ -61,7 +62,7 @@ from .transport import (
     connect_shard,
     parse_address,
 )
-from .sharding import ShardServer, ShardedPartitionService, shard_for_digest
+from .sharding import ShardServer, ShardedPartitionService
 from .client import HTTPServiceClient, ServiceClient
 from .http import PartitionHTTPServer, dispatch_request, make_server, serve
 from .eventloop import EventLoopHTTPServer
@@ -71,7 +72,6 @@ __all__ = [
     "ServiceConfig",
     "ShardedPartitionService",
     "ShardServer",
-    "shard_for_digest",
     "ShardTransport",
     "PipeTransport",
     "SocketTransport",

@@ -33,9 +33,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ServiceError
+from ..errors import GraphNotHeld, ServiceError
 from ..graphs.csr import CSRGraph
 from .models import JobResult, PartitionRequest, RefineRequest
+from .shipping import GraphRef
 
 __all__ = [
     "graph_digest",
@@ -47,25 +48,11 @@ __all__ = [
 
 
 def graph_digest(graph: CSRGraph) -> str:
-    """Stable content digest of a graph (hex).
-
-    Hashes the canonical CSR arrays (edge list is deduplicated and
-    sorted at construction, so any edge ordering of the same graph
-    digests identically), the weights, and the coordinates when
-    present — two graphs share a digest iff they are ``==``.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(graph.n_nodes).encode())
-    for arr in (
-        graph.edges_u,
-        graph.edges_v,
-        graph.edge_weights,
-        graph.node_weights,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    if graph.coords is not None:
-        h.update(np.ascontiguousarray(graph.coords).tobytes())
-    return h.hexdigest()
+    """Stable content digest of a graph (hex): two graphs share a digest
+    iff they are ``==``.  Computed once per graph instance and stored on
+    it (:meth:`CSRGraph.digest`), so the front's routing, interning and
+    the shard read one value instead of re-hashing the arrays."""
+    return graph.digest()
 
 
 def request_key(request, digest: Optional[str] = None) -> str:
@@ -156,7 +143,8 @@ class LRUBytesCache:
             }
 
 
-def _graph_nbytes(graph: CSRGraph) -> int:
+def graph_nbytes(graph: CSRGraph) -> int:
+    """Bytes held by a graph's arrays (edge list, CSR views, coords)."""
     total = (
         graph.edges_u.nbytes
         + graph.edges_v.nbytes
@@ -183,20 +171,25 @@ class GraphStore:
         self.max_seeds = int(max_seeds)
         self.interned = 0  # requests answered with an already-built CSR
 
-    def intern(self, graph: CSRGraph) -> tuple[str, CSRGraph]:
+    def intern(self, graph) -> tuple[str, CSRGraph]:
         """``(digest, canonical_graph)`` — the returned graph is the
         store's resident instance when one exists, so its lazily-built
         strength table and unit-weight flags are shared by every request
-        that names the same content."""
-        digest = graph_digest(graph)
+        that names the same content.  A :class:`~repro.service.shipping.
+        GraphRef` resolves only to a resident graph; a digest the store
+        does not hold raises :class:`~repro.errors.GraphNotHeld`."""
+        ref = isinstance(graph, GraphRef)
+        digest = graph.digest if ref else graph_digest(graph)
         resident = self._graphs.get(digest)
+        if resident is None and ref:
+            raise GraphNotHeld(f"graph {digest} is not interned here")
         if resident is not None:
             with self._lock:
                 self.interned += 1
             return digest, resident
         graph.node_strengths()  # pre-warm: shared by every hot path
         graph.has_unit_edge_weights()
-        self._graphs.put(digest, graph, _graph_nbytes(graph))
+        self._graphs.put(digest, graph, graph_nbytes(graph))
         return digest, graph
 
     # -- warm seed partitions ------------------------------------------

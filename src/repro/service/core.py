@@ -25,7 +25,8 @@ bank, dknux requests whose estimated cost (``n_nodes × population ×
 generations``) clears ``process_threshold`` run on a pinned worker
 *process* instead — same computation, same bits, but Python-level
 generation bookkeeping no longer serializes on the GIL.  Graph payloads
-ship to a process slot once per pin and are interned worker-side
+ship to a process slot once per pin, digest first
+(:mod:`repro.service.shipping`), and are interned worker-side
 (:mod:`repro.service.procexec`).
 
 Determinism contract: cached, joined, group-coalesced, and
@@ -40,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -64,9 +64,10 @@ from .models import (
     result_from_partition,
 )
 from .portfolio import run_portfolio
-from .procexec import NEEDS_GRAPH, graph_to_arrays, run_partition_job
+from .procexec import WORKER_GRAPH_CAP, graph_to_arrays, run_partition_job
 from .scheduler import CoalescingScheduler
 from .sessions import SessionManager
+from .shipping import GraphShipper
 
 __all__ = ["PartitionService", "DEFAULT_GA_OVERRIDES"]
 
@@ -148,13 +149,9 @@ class PartitionService:
             sample_rate=config.trace_sample,
         )
         self.registry = MetricsRegistry()
-        # digests whose CSR arrays were shipped to each process slot —
-        # later jobs for the pin send the digest alone.  Bounded to the
-        # worker-side intern LRU's capacity per slot: beyond that the
-        # worker has evicted the graph anyway, so remembering it here
-        # would be pure memory cost answered by NEEDS_GRAPH resends.
-        self._ship_lock = threading.Lock()
-        self._shipped: dict[int, "OrderedDict[str, None]"] = {}
+        # digests shipped to each process slot, bounded like the
+        # worker-side intern LRU (see repro.service.shipping)
+        self.shipper = GraphShipper(WORKER_GRAPH_CAP, self.registry)
         # session failover persistence (see repro.service.persistence):
         # snapshot on every session commit, restore what the store holds
         # before taking traffic — a restarted shard resumes its sessions
@@ -827,24 +824,6 @@ class PartitionService:
             return None
         return config
 
-    def _was_shipped(self, slot: int, digest: str) -> bool:
-        with self._ship_lock:
-            per_slot = self._shipped.get(slot)
-            if per_slot is None or digest not in per_slot:
-                return False
-            per_slot.move_to_end(digest)
-            return True
-
-    def _mark_shipped(self, slot: int, digest: str) -> None:
-        from .procexec import WORKER_GRAPH_CAP
-
-        with self._ship_lock:
-            per_slot = self._shipped.setdefault(slot, OrderedDict())
-            per_slot[digest] = None
-            per_slot.move_to_end(digest)
-            while len(per_slot) > WORKER_GRAPH_CAP:
-                per_slot.popitem(last=False)
-
     def _observe_request(self, endpoint: str, latency_s: float) -> None:
         self.registry.inc("repro_requests_total", endpoint=endpoint)
         self.registry.observe(
@@ -883,14 +862,11 @@ class PartitionService:
         config: GAConfig,
         parent=NULL_SPAN,
     ) -> JobResult:
-        """Run a dknux request on its pinned process slot.
-
-        The graph's CSR arrays ship with the first job for this
-        (slot, digest) pair; afterwards the digest alone travels.  A
-        worker that lost the graph (restart, worker-side LRU eviction)
-        answers :data:`NEEDS_GRAPH` and the job is resent once with the
-        arrays attached.
-        """
+        """Run a dknux request on its pinned process slot, shipping the
+        graph digest first (:class:`~repro.service.shipping.
+        GraphShipper`): the CSR arrays travel with the first job for
+        this (slot, digest) pair and again after a ``NEEDS_GRAPH``
+        answer; otherwise the digest travels alone."""
         pool = self.scheduler.process_pool
         assert pool is not None
         slot = pool.slot(digest)
@@ -907,18 +883,14 @@ class PartitionService:
             seed_assignment = self.store.graphs.warm_seed(
                 digest, request.n_parts, request.fitness_kind
             )
-        arrays = (
-            None
-            if self._was_shipped(slot, digest)
-            else graph_to_arrays(request.graph)
-        )
         config_kwargs = dataclasses.asdict(config)
-        with exec_span:
-            out = pool.submit(
+
+        def send(full: bool):
+            return pool.submit(
                 digest,
                 run_partition_job,
                 digest,
-                arrays,
+                graph_to_arrays(request.graph) if full else None,
                 request.n_parts,
                 request.fitness_kind,
                 config_kwargs,
@@ -926,20 +898,9 @@ class PartitionService:
                 seed_assignment,
                 *extra,
             ).result()
-            if isinstance(out, str) and out == NEEDS_GRAPH:
-                out = pool.submit(
-                    digest,
-                    run_partition_job,
-                    digest,
-                    graph_to_arrays(request.graph),
-                    request.n_parts,
-                    request.fitness_kind,
-                    config_kwargs,
-                    request.seed,
-                    seed_assignment,
-                    *extra,
-                ).result()
-            self._mark_shipped(slot, digest)
+
+        with exec_span:
+            out = self.shipper.ship(slot, [digest], send)
             if isinstance(out, tuple) and len(out) == 3:
                 assignment, fitness, worker_spans = out
             else:

@@ -41,7 +41,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
-from .http import MAX_BODY_BYTES, dispatch_request
+from .http import MAX_BODY_BYTES, decode_memo, dispatch_request
 
 __all__ = [
     "EventLoopHTTPServer",
@@ -166,6 +166,7 @@ class EventLoopHTTPServer:
         self._stopped = threading.Event()
         self._stopped.set()        # not running yet
         self._registry = getattr(service, "registry", None)
+        self.decode_memo = decode_memo()
         self._connections_total = 0
         self._in_flight_total = 0
 
@@ -469,7 +470,8 @@ class EventLoopHTTPServer:
     ) -> None:
         try:
             status, ctype, out = dispatch_request(
-                self.service, method, target, body, accept
+                self.service, method, target, body, accept,
+                memo=self.decode_memo,
             )
         # repro: allow[BROAD-EXCEPT] — dispatch_request already maps every
         # error; this is the can't-happen boundary keeping seq accounting

@@ -38,6 +38,12 @@ path                  method  body / response
                               ShardedPartitionService.ring_admin`)
 ====================  ======  =========================================
 
+Each front memoises ``/v1/partition`` and ``/v1/refine`` decodes: the
+exact body bytes map to the validated request, so a repeat skips the
+JSON parse, CSR build and hash but still reaches the service.  The LRU
+is bounded by :data:`DECODE_MEMO_BYTES` (body plus graph arrays per
+entry); bodies that fail to decode or validate are never memoised.
+
 Malformed payloads (bad JSON, bad graph bytes, invalid parameters)
 answer ``400`` with ``{"error": ...}``; unknown paths ``404``; unknown
 sessions ``404``; oversized bodies ``413``.  Library errors never leak
@@ -58,6 +64,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 
 from ..errors import ReproError, ServiceError, ShardDiedError
+from .cache import LRUBytesCache, graph_nbytes
 from .core import PartitionService
 from .models import (
     PartitionRequest,
@@ -67,7 +74,9 @@ from .models import (
 )
 
 __all__ = [
+    "DECODE_MEMO_BYTES",
     "PartitionHTTPServer",
+    "decode_memo",
     "dispatch_request",
     "make_server",
     "serve",
@@ -76,6 +85,36 @@ __all__ = [
 #: request-body ceiling — paper-scale graphs are ~KBs; 64 MiB leaves
 #: ample slack for large meshes while bounding a hostile payload
 MAX_BODY_BYTES = 64 << 20
+
+#: byte budget of one front's decode memo (bodies plus graph arrays)
+DECODE_MEMO_BYTES = 32 << 20
+
+#: POST routes whose bodies the decode memo serves
+_MEMO_ROUTES = {
+    "/v1/partition": PartitionRequest,
+    "/v1/refine": RefineRequest,
+}
+
+
+def decode_memo() -> LRUBytesCache:
+    """A fresh decode memo for one front (see the module docstring)."""
+    return LRUBytesCache(DECODE_MEMO_BYTES)
+
+
+def _decode(memo: Optional[LRUBytesCache], path: str, body: bytes):
+    """The validated request a ``/v1/partition`` or ``/v1/refine`` body
+    names, from the memo when this exact body was decoded before (its
+    graph keeps the digest the first submit computes)."""
+    cls = _MEMO_ROUTES[path]
+    key = (path, body)
+    request = None if memo is None else memo.get(key)
+    if request is None:
+        request = cls.from_payload(_parse_json_body(body))
+        if memo is not None:
+            extra = getattr(request, "assignment", None)
+            memo.put(key, request, len(body) + graph_nbytes(request.graph)
+                     + (0 if extra is None else extra.nbytes))
+    return request
 
 
 # ----------------------------------------------------------------------
@@ -97,14 +136,16 @@ def _parse_json_body(raw: bytes) -> dict:
 
 
 def dispatch_request(
-    service, method: str, target: str, body: bytes = b"", accept: str = ""
+    service, method: str, target: str, body: bytes = b"", accept: str = "",
+    memo: Optional[LRUBytesCache] = None,
 ) -> tuple[int, str, bytes]:
     """Route one HTTP request → ``(status, content type, body bytes)``.
 
     The single routing table behind both fronts: ``target`` is the raw
     request target (path plus optional query), ``body`` the already-read
     request body, ``accept`` the Accept header (the ``/v1/metrics``
-    content negotiation).  Every error — malformed payload, library
+    content negotiation), ``memo`` the front's decode memo (``None``
+    decodes every body afresh).  Every error — malformed payload, library
     error, handler bug — is mapped to a JSON error response here, so
     callers never see an exception and the two fronts answer
     byte-identically.
@@ -151,13 +192,10 @@ def dispatch_request(
             return _json_response(
                 501, {"error": f"unsupported method {method!r}"}
             )
+        if path in _MEMO_ROUTES:
+            result = service.submit(_decode(memo, path, body))
+            return _json_response(200, result.to_payload())
         payload = _parse_json_body(body)
-        if path == "/v1/partition":
-            result = service.submit(PartitionRequest.from_payload(payload))
-            return _json_response(200, result.to_payload())
-        if path == "/v1/refine":
-            result = service.submit(RefineRequest.from_payload(payload))
-            return _json_response(200, result.to_payload())
         if path == "/v1/session/open":
             # parameter validation (types, ranges, ga overrides)
             # lives in SessionManager.open and answers 400
@@ -225,6 +263,7 @@ class PartitionHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self.decode_memo = decode_memo()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -279,6 +318,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             self._send(*dispatch_request(
                 self.server.service, "POST", self.path, body,
+                memo=self.server.decode_memo,
             ))
         except BrokenPipeError:
             pass

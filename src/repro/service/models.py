@@ -29,6 +29,7 @@ from ..errors import ServiceError
 from ..graphs.csr import CSRGraph
 from ..graphs.io import graph_from_payload, graph_to_payload, parse_metis
 from ..partition.partition import Partition
+from .shipping import GraphRef
 
 __all__ = [
     "PartitionRequest",
@@ -67,8 +68,11 @@ def graph_to_wire(graph: CSRGraph, arrays=None) -> dict:
     raw buffers instead of JSON number lists.  Either form decodes
     through :func:`graph_from_payload` into the same graph, because its
     :class:`CSRGraph` constructor normalizes lists and ndarrays to the
-    identical int64/float64 arrays.
+    identical int64/float64 arrays.  A ``GraphRef`` (digest first, see
+    :mod:`repro.service.shipping`) travels in its own wire form.
     """
+    if isinstance(graph, GraphRef):
+        return graph.to_wire()
     if arrays is None:
         return graph_to_payload(graph)
     return {
@@ -83,8 +87,11 @@ def graph_to_wire(graph: CSRGraph, arrays=None) -> dict:
     }
 
 
-def graph_from_wire(obj: Union[dict, str]) -> CSRGraph:
-    """Decode a wire-format graph: a JSON payload dict or METIS text."""
+def graph_from_wire(obj: Union[dict, str, GraphRef]) -> CSRGraph:
+    """Decode a wire-format graph: a JSON payload dict or METIS text (a
+    ``GraphRef`` the shard transport decoded passes through)."""
+    if isinstance(obj, GraphRef):
+        return obj
     if isinstance(obj, str):
         return parse_metis(obj)
     return graph_from_payload(obj)

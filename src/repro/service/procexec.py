@@ -12,15 +12,15 @@ The IPC cost model this module amortizes:
 
 * **Graphs ship once per pin.**  Jobs are pinned to process slots by
   graph digest, so every request naming the same content lands in the
-  same worker process.  The first job for a digest carries the CSR
-  arrays; the worker interns them (pre-warming the strength table and
-  unit-weight flags, like the parent's
+  same worker process.  The parent ships graphs with the digest-first
+  protocol of :mod:`repro.service.shipping` — the same one the sharded
+  front uses on its shard hop: the first job for a digest carries the
+  CSR arrays, the worker interns them (pre-warming the strength table
+  and unit-weight flags, like the parent's
   :class:`~repro.service.cache.GraphStore`) in a bounded worker-side
   LRU, and every later job carries the digest alone.  A worker that no
-  longer holds the digest (restart, LRU eviction) answers with
-  :data:`NEEDS_GRAPH` and the parent resends once with the arrays —
-  shipping is an optimization with a self-healing fallback, never a
-  protocol obligation.
+  longer holds the digest (restart, LRU eviction) answers
+  :data:`NEEDS_GRAPH` and the parent resends once with the arrays.
 * **Results travel as plain arrays.**  The worker returns the
   assignment plus its scalar metrics; the parent builds the
   :class:`~repro.service.models.JobResult` and publishes to its caches
@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from .shipping import NEEDS_GRAPH
 
 __all__ = [
     "NEEDS_GRAPH",
@@ -48,10 +49,6 @@ __all__ = [
     "run_partition_job",
     "init_process_worker",
 ]
-
-#: sentinel returned by a worker that was handed a digest it does not
-#: hold; the parent retries once with the graph arrays attached
-NEEDS_GRAPH = "__needs_graph__"
 
 #: graphs each worker process keeps interned (LRU); paper-scale CSR
 #: builds are a few hundred KB, so even the cap is a modest footprint

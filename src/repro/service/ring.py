@@ -22,15 +22,11 @@ change at runtime:
   immutable version they observe.  The front serializes mutations
   under its own fleet lock.
 
-**One-time migration from the ``% N`` layout.**  Epoch 0 of a
-width-N ring does *not* reproduce ``shard_for_digest(d, N)`` — a
-modulus layout cannot satisfy remap minimality, which is the entire
-point of this module.  The migration is a cold-cache event, not a
-correctness event: every shard runs identical service code, so routing
-decides only *which process computes*, never what is computed (the
-bit-identity suite covers any ring history).  ``shard_for_digest``
-remains exported for the pre-ring frozen tests and for external
-tooling that recorded the old layout.
+Epoch-0 placements are frozen (``tests/test_ring.py`` pins literal
+owners): persisted write-behind journals and warm-seed filters depend
+on stable ownership across restarts.  Routing decides only *which
+process computes*, never what is computed (the bit-identity suite
+covers any ring history).
 
 The ring protocol is versioned on the shard ``capabilities`` verb
 (:data:`RING_PROTOCOL_VERSION`): a front sends its ring epoch with the
@@ -70,7 +66,7 @@ _SPACE = 1 << 64
 
 def ring_point(token: str) -> int:
     """A token's position on the 64-bit ring (pure function: the same
-    point in every process and across runs, like ``shard_for_digest``)."""
+    point in every process and across runs)."""
     raw = hashlib.blake2b(token.encode(), digest_size=8).digest()
     return int.from_bytes(raw, "big")
 

@@ -54,6 +54,11 @@ frames) to shard servers anywhere (``serve --shard-listen`` /
 ``--attach-shard``), so a fleet can span machines without changing a
 caller.
 
+Graph shipping (:mod:`repro.service.shipping`, shared with the process
+lane): the front ships a graph to a slot once, then only its digest.  A
+shard that lost it — restarted, evicted, or a new process after a
+resize — answers ``NEEDS_GRAPH`` and the front resends once in full.
+
 Fault tolerance (PR 5): every shard lives in a supervised slot with
 health tracking.  A shard death (reader-thread EOF, send failure) fails
 all in-flight requests for that shard *fast* with
@@ -85,7 +90,6 @@ processes.  A standalone :class:`ShardServer` has no such constraint.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -96,7 +100,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
-from ..errors import ServiceError, ShardDiedError
+from ..errors import GraphNotHeld, ServiceError, ShardDiedError
 from ..graphs.csr import CSRGraph
 from ..obs.logs import get_logger
 from ..obs.metrics import (
@@ -109,6 +113,7 @@ from .cache import graph_digest
 from .config import ServiceConfig
 from .models import JobResult, UpdateRequest
 from .ring import RING_PROTOCOL_VERSION, HashRing
+from .shipping import NEEDS_GRAPH, GraphShipper, by_ref
 from .transport import (
     SHUTDOWN,
     PipeTransport,
@@ -120,10 +125,12 @@ from .transport import (
 __all__ = [
     "ShardedPartitionService",
     "ShardServer",
-    "shard_for_digest",
 ]
 
 _LOG = get_logger("service.sharding")
+
+#: digests the front remembers per shard slot (LRU)
+SHIPPED_PER_SHARD = 256
 
 
 #: percentile-style stats keys that cannot meaningfully sum across
@@ -163,22 +170,6 @@ def _merge_stats_into(target: dict, row: dict) -> None:
             target[key] = max(target.get(key, value), value)
         else:
             target[key] = target.get(key, 0) + value
-
-
-def shard_for_digest(digest: str, n_shards: int) -> int:
-    """Stable digest → shard index (same mapping in every process and
-    across runs: a pure function of the content digest).
-
-    This is the PR-4 ``% N`` layout, kept as the frozen reference
-    (``tests/test_sharding.py`` pins it).  Live routing moved to the
-    consistent-hash ring in PR 10 — see :mod:`repro.service.ring` for
-    why the two layouts intentionally differ (a one-time migration:
-    ``% N`` cannot be remap-minimal) and why that is safe (every shard
-    computes identical bits)."""
-    if n_shards < 1:
-        raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
-    raw = hashlib.blake2b(digest.encode(), digest_size=8).digest()
-    return int.from_bytes(raw, "big") % n_shards
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +213,12 @@ def _serve_shard(transport: ShardTransport, service) -> None:
         req_id: int, verb: str, args: tuple, tc: Optional[dict] = None
     ) -> None:
         try:
-            if verb == "submit":
-                out = service.submit(args[0], trace=tc)
-            elif verb == "submit_many":
-                out = service.submit_many(args[0], trace=tc)
+            if verb in ("submit", "submit_many"):
+                call = service.submit if verb == "submit" else service.submit_many
+                try:
+                    out = call(args[0], trace=tc)
+                except GraphNotHeld:
+                    out = NEEDS_GRAPH  # the front resends with the graph
             elif verb == "open_session":
                 kwargs = dict(args[2])
                 payload_tc = kwargs.pop("trace", None)
@@ -782,6 +775,8 @@ class ShardedPartitionService:
             sample_rate=config.trace_sample,
         )
         self.registry = MetricsRegistry()
+        #: digest-first graph shipping, keyed by slot index
+        self.shipper = GraphShipper(SHIPPED_PER_SHARD, self.registry)
         self._mp_ctx = multiprocessing.get_context()
         self._fleet_lock = threading.Lock()
         self._fleet_cond = threading.Condition(self._fleet_lock)
@@ -801,8 +796,8 @@ class ShardedPartitionService:
         #: across the blocking handoff RPCs)
         self._admin_busy = False
         self._closed = False
-        #: the routing topology: an explicit epoch-numbered ring instead
-        #: of PR 4's ``% N`` (see repro.service.ring for the migration)
+        #: the routing topology: an explicit epoch-numbered ring (see
+        #: repro.service.ring)
         self.ring = HashRing(self.n_shards)
         self._slots: list[_ShardSlot] = [
             _ShardSlot(i, address=None if self._local else attach[i])
@@ -1215,13 +1210,19 @@ class ShardedPartitionService:
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
         self._check_open()
-        shard = self.shard_of(request.graph)
+        digest = graph_digest(request.graph)
+        shard = self.ring.owner(digest)
         span = self.tracer.start(
             "front.submit", parent=request.trace,
             attrs={"endpoint": "partition", "shard": shard},
         )
         with span:
-            result = self._traced_call(span, shard, "submit", request)
+            result = self.shipper.ship(
+                shard, [digest],
+                lambda full: self._traced_call(
+                    span, shard, "submit", request if full else by_ref(request)
+                ),
+            )
         return self._mark(result, shard)
 
     def submit_many(self, requests: Sequence) -> list[JobResult]:
@@ -1241,7 +1242,14 @@ class ShardedPartitionService:
 
         def run_shard(shard: int, members: list[int]) -> None:
             batch = [requests[i] for i in members]
-            out = self._traced_call(span, shard, "submit_many", batch)
+            out = self.shipper.ship(
+                shard,
+                [graph_digest(r.graph) for r in batch],
+                lambda full: self._traced_call(
+                    span, shard, "submit_many",
+                    batch if full else [by_ref(r) for r in batch],
+                ),
+            )
             for i, result in zip(members, out):
                 results[i] = self._mark(result, shard)
 

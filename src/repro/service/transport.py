@@ -53,6 +53,10 @@ pipe lane has an analogous negotiated fast path: array payloads above
 segment (the same binary header + buffer layout) instead of the pipe
 buffer.
 
+Graphs travel digest first (:mod:`repro.service.shipping`): a request
+to a shard known to hold its graph carries a ``GraphRef`` instead.  Only
+this codec decodes one, so an HTTP body cannot name a graph by digest.
+
 A peer that disappears surfaces as
 :class:`EOFError`/:class:`OSError` from :meth:`recv`, which is exactly
 what the front's per-shard reader thread treats as shard death; a
@@ -85,6 +89,7 @@ from .models import (
     graph_from_wire,
     graph_to_wire,
 )
+from .shipping import GraphRef
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -185,6 +190,9 @@ def _decode_value(obj):
             raise ServiceError(
                 f"unknown request kind in shard message: {value!r}"
             )
+        ref = GraphRef.from_wire(value.get("graph"))
+        if ref is not None:  # digest first (repro.service.shipping)
+            value = dict(value, graph=ref)
         return cls.from_payload(value)
     if tag == "graph":
         return graph_from_wire(value)
@@ -746,6 +754,12 @@ class ShardListener:
         return SocketTransport(conn)
 
     def close(self) -> None:
+        try:
+            # wake a thread blocked in accept(): close() alone leaves the
+            # socket listening until that call returns
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - double close

@@ -2,10 +2,8 @@
 
 Covers: determinism of the point function and owner mapping, the
 remap-minimality property (the reason the ring exists — a resize moves
-~1/(N+1) of the keyspace, an eject only the dead slot's share, a
-modulus layout moves almost everything), frozen epoch-0 expectations
-documenting the one-time migration off the PR-4 ``% N`` layout,
-describe/from_description round-trips, and the mutation semantics
+~1/(N+1) of the keyspace, an eject only the dead slot's share), frozen
+epoch-0 expectations, describe/from_description round-trips, and the mutation semantics
 (epoch advance, idempotence, ejected-stays-ejected, empty-ring
 refusal).
 """
@@ -20,7 +18,6 @@ from repro.service import (
     RING_PROTOCOL_VERSION,
     HashRing,
     RingVersion,
-    shard_for_digest,
 )
 from repro.service.ring import ring_point
 
@@ -91,18 +88,6 @@ def test_eject_moves_only_the_ejected_share():
             assert after in (0, 1, 3)
 
 
-def test_modulus_layout_would_remap_nearly_everything():
-    # the counter-property motivating the migration: % N moves ~N/(N+1)
-    # of all keys on a resize, the ring only ~1/(N+1)
-    digests = _digests(2000)
-    moved = sum(
-        1
-        for d in digests
-        if shard_for_digest(d, 4) != shard_for_digest(d, 5)
-    )
-    assert moved > 0.6 * len(digests)
-
-
 def test_shares_sum_to_one_and_stay_balanced():
     ring = RingVersion(0, 4)
     shares = ring.shares()
@@ -114,26 +99,15 @@ def test_shares_sum_to_one_and_stay_balanced():
 
 
 # ---------------------------------------------------------------------------
-# frozen expectations — the one-time migration off the PR-4 layout
+# frozen expectations
 
 
 def test_frozen_epoch0_layout():
     """Epoch-0 ring routing is frozen: these literals must never change
     (persisted write-behind journals and warm-seed filters depend on
-    stable ownership across restarts).
-
-    They deliberately differ from the PR-4 modulus layout — e.g.
-    ``shard_for_digest("deadbeef", 4) == 1`` while the ring owner is 3.
-    That one-time migration is a cold-cache event only: routing picks
-    which process computes, never what is computed, and
-    ``shard_for_digest`` stays exported (and frozen in
-    test_sharding.py) as the pre-ring reference.
-    """
+    stable ownership across restarts)."""
     assert HashRing(4).owner("deadbeef") == 3
     assert HashRing(2).owner("deadbeef") == 0
-    # the old layout, for contrast (frozen since PR 4):
-    assert shard_for_digest("deadbeef", 4) == 1
-    assert shard_for_digest("deadbeef", 2) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -874,3 +874,197 @@ class TestHTTP:
         assert stats["latency"]["count"] >= 1
         assert stats["cache"]["results"]["hits"] >= 1
         assert stats["sessions"]["updates"] >= 1
+
+
+class TestDecodeMemo:
+    """The HTTP front's decode memo: exact body bytes → the decoded,
+    validated request (graph digest computed once)."""
+
+    @staticmethod
+    def _post(svc, body, memo, path="/v1/partition"):
+        from repro.service.http import dispatch_request
+
+        return dispatch_request(svc, "POST", path, body, memo=memo)
+
+    @staticmethod
+    def _answer(response) -> dict:
+        status, _, out = response
+        assert status == 200, out
+        payload = json.loads(out)
+        payload.pop("latency_s")
+        return payload
+
+    def test_malformed_body_answers_same_400_twice(self, graph):
+        from repro.service.http import decode_memo
+
+        bad_params = PartitionRequest(graph, 4).to_payload()
+        bad_params["n_parts"] = 0
+        bad_graph = PartitionRequest(graph, 4).to_payload()
+        bad_graph["graph"]["edges_u"] = [0, 999]
+        memo = decode_memo()
+        with PartitionService(n_workers=1) as svc:
+            for body in (
+                b"{not json",
+                b"[1, 2]",
+                json.dumps(bad_params).encode(),
+                json.dumps(bad_graph).encode(),
+            ):
+                first = self._post(svc, body, memo)
+                assert first[0] == 400
+                assert self._post(svc, body, memo) == first
+        assert len(memo) == 0  # failures are never memoised
+
+    def test_memo_answers_equal_fresh_decode(self, graph):
+        from repro.service.http import decode_memo
+
+        part = PartitionRequest(graph, 4, seed=1, ga=GA)
+        refine = RefineRequest(
+            graph, 4, np.arange(graph.n_nodes) % 4, passes=1
+        )
+        bodies = {
+            "/v1/partition": json.dumps(part.to_payload()).encode(),
+            "/v1/refine": json.dumps(refine.to_payload()).encode(),
+        }
+        memo = decode_memo()
+        with PartitionService(n_workers=1) as memo_svc, PartitionService(
+            n_workers=1
+        ) as fresh_svc:
+            for path, body in bodies.items():
+                for _ in range(2):
+                    assert self._answer(
+                        self._post(memo_svc, body, memo, path)
+                    ) == self._answer(self._post(fresh_svc, body, None, path))
+        stats = memo.stats()
+        assert stats["entries"] == 2 and stats["hits"] == 2
+        # a body is memoised per route: the partition body posted to
+        # /v1/refine is decoded (and rejected) as a refine request
+        with PartitionService(n_workers=1) as svc:
+            status, _, _ = self._post(
+                svc, bodies["/v1/partition"], memo, "/v1/refine"
+            )
+        assert status == 400
+
+    def test_resident_bytes_stay_under_cap(self, graph, monkeypatch):
+        import repro.service.http as http
+        from repro.service.cache import graph_nbytes
+
+        bodies = [
+            json.dumps(
+                PartitionRequest(graph, 4, seed=s, method="greedy").to_payload()
+            ).encode()
+            for s in range(8)
+        ]
+        cap = 3 * (len(bodies[0]) + graph_nbytes(graph))
+        monkeypatch.setattr(http, "DECODE_MEMO_BYTES", cap)
+        memo = http.decode_memo()
+        with PartitionService(n_workers=1) as svc:
+            for body in bodies:
+                self._post(svc, body, memo)
+                assert memo.current_bytes <= cap
+            assert 0 < len(memo) < len(bodies)
+            assert memo.stats()["evictions"] > 0
+            self._post(svc, bodies[-1], memo)  # the newest is resident
+        assert memo.stats()["hits"] == 1
+
+    def test_concurrent_posts_keep_memo_lock_a_leaf(self, graph, lock_graph):
+        """16 threads post one body at an event-loop front under the
+        lock-order witness: every answer is the same, the body is
+        memoised once, and the memo's lock (an ``LRUBytesCache`` lock)
+        never has another lock acquired under it."""
+        import http.client
+        import sys
+
+        from repro.service import make_server
+        from repro.service.cache import graph_nbytes
+
+        body = json.dumps(
+            PartitionRequest(graph, 4, seed=0, ga=GA).to_payload()
+        ).encode()
+        answers: list = []
+
+        def post(port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            conn.request("POST", "/v1/partition", body)
+            response = conn.getresponse()
+            answers.append((response.status, json.loads(response.read())))
+            conn.close()
+
+        interval = sys.getswitchinterval()
+        with LockWitness() as witness:
+            server = make_server("127.0.0.1", 0, n_workers=2)
+            loop = threading.Thread(target=server.serve_forever, daemon=True)
+            loop.start()
+            sys.setswitchinterval(1e-5)
+            try:
+                port = server.server_address[1]
+                threads = [
+                    threading.Thread(target=post, args=(port,))
+                    for _ in range(16)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = server.decode_memo.stats()
+            finally:
+                sys.setswitchinterval(interval)
+                server.shutdown()
+                server.service.close()
+                server.server_close()
+                loop.join(timeout=10)
+        assert len(answers) == 16
+        assert all(status == 200 for status, _ in answers)
+        assert len({tuple(a["assignment"]) for _, a in answers}) == 1
+        assert stats["entries"] == 1 and stats["hits"] + stats["misses"] == 16
+        # racing misses replace one entry: the byte charge is not lost
+        assert stats["bytes"] == len(body) + graph_nbytes(graph)
+        witness.assert_subgraph_of(lock_graph)
+
+        def name(site):
+            node = lock_graph.node_at(*site)
+            return None if node is None else node.name
+
+        assert "LRUBytesCache._lock" in {name(s) for s in witness.created}
+        outer = {name(o) for o, _ in witness.observed_edges()}
+        assert "LRUBytesCache._lock" not in outer
+
+    def test_snapshot_from_before_the_digest_slot_restores(
+        self, graph, tmp_path
+    ):
+        """Session snapshots pickle their CSRGraph; one written before
+        the graph carried a digest slot must restore and answer
+        bit-identically to an uninterrupted session."""
+        import io
+        import pickle
+
+        from repro.graphs.csr import CSRGraph
+        from repro.service import SnapshotStore
+        from repro.service.persistence import capture_session_state
+
+        class PreDigestPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if not isinstance(obj, CSRGraph):
+                    return NotImplemented
+                func, args, (state, slots), *rest = obj.__reduce_ex__(5)
+                slots = {k: v for k, v in slots.items() if k != "_digest"}
+                return (func, args, (state, slots), *rest)
+
+        update = insert_local_nodes(graph, 5, seed=7).graph
+        with PartitionService(n_workers=1) as ref_svc:
+            opened = ref_svc.open_session(graph, 4, seed=0, ga=GA)
+            ref = ref_svc.update_session(UpdateRequest(opened.session_id, update))
+        with PartitionService(n_workers=1) as svc:
+            sid = svc.open_session(graph, 4, seed=0, ga=GA).session_id
+            graph_digest(svc.sessions.get(sid).partitioner.graph)
+            state = capture_session_state(svc.sessions.get(sid))
+        buf = io.BytesIO()
+        PreDigestPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+        assert b"_digest" not in buf.getvalue()
+        SnapshotStore(tmp_path).save(sid, buf.getvalue())
+        with PartitionService(n_workers=1, snapshot_dir=str(tmp_path)) as svc:
+            restored = svc.sessions.get(sid).partitioner.graph
+            assert graph_digest(restored) == graph_digest(graph)
+            got = svc.update_session(UpdateRequest(sid, update))
+        assert np.array_equal(got.assignment, ref.assignment)
+        assert got.cut_size == ref.cut_size

@@ -12,6 +12,7 @@ shards serving degraded out of the ring with zero lost answers,
 probe-driven eject/readmit, and the ``/v1/admin/ring`` endpoint.
 """
 
+import json
 import threading
 import time
 from pathlib import Path
@@ -32,9 +33,9 @@ from repro.service import (
     ServiceConfig,
     ShardServer,
     ShardedPartitionService,
+    HashRing,
     UpdateRequest,
     graph_digest,
-    shard_for_digest,
 )
 
 #: tiny GA budget — these tests exercise the serving layer, not search
@@ -56,37 +57,45 @@ def lock_graph():
     return extract_lock_graph([str(src)])
 
 
+def _ships(snapshot) -> dict:
+    """``repro_graph_ships_total`` per mode in a metrics snapshot."""
+    return {
+        c["labels"]["mode"]: int(c["value"])
+        for c in snapshot["counters"]
+        if c["name"] == "repro_graph_ships_total"
+    }
+
+
 # ----------------------------------------------------------------------
 # shard routing
 # ----------------------------------------------------------------------
 
 class TestShardRouting:
     def test_routing_is_stable_across_calls_and_runs(self, graph):
-        """shard_for_digest is a pure function of content: same digest,
+        """Ring ownership is a pure function of content: same digest,
         same shard, in every process, forever (the frozen literal guards
         against silent changes to the hash construction)."""
         d = graph_digest(graph)
-        assert shard_for_digest(d, 4) == shard_for_digest(d, 4)
+        assert HashRing(4).owner(d) == HashRing(4).owner(d)
         twin = graph_digest(mesh_graph(48, seed=3))
-        assert shard_for_digest(twin, 4) == shard_for_digest(d, 4)
+        assert HashRing(4).owner(twin) == HashRing(4).owner(d)
         # frozen expectation for a literal digest string
-        assert shard_for_digest("deadbeef", 4) == 1
-        assert shard_for_digest("deadbeef", 2) == 1
+        assert HashRing(4).owner("deadbeef") == 3
+        assert HashRing(2).owner("deadbeef") == 0
 
     def test_routing_covers_shards(self):
         """The canonical workload digests spread over shards (no
         degenerate all-on-one mapping)."""
         from repro.experiments.workloads import BASE_SIZES, workload
 
-        shards = {
-            shard_for_digest(graph_digest(workload(s)), 2) for s in BASE_SIZES
-        }
+        ring = HashRing(2)
+        shards = {ring.owner(graph_digest(workload(s))) for s in BASE_SIZES}
         assert shards == {0, 1}
 
     def test_single_shard_accepts_everything(self, graph):
-        assert shard_for_digest(graph_digest(graph), 1) == 0
+        assert HashRing(1).owner(graph_digest(graph)) == 0
         with pytest.raises(ServiceError):
-            shard_for_digest("x", 0)
+            HashRing(0)
 
 
 # ----------------------------------------------------------------------
@@ -1001,6 +1010,190 @@ class TestElasticFleet:
 
 
 # ----------------------------------------------------------------------
+# digest-first graph shipping on the shard hop
+# ----------------------------------------------------------------------
+
+def _serial(*requests) -> list:
+    """Answers of the single-process serial path."""
+    with PartitionService(n_workers=1) as single:
+        return [single.submit(r) for r in requests]
+
+
+def _same_answer(got, ref) -> bool:
+    return (
+        np.array_equal(got.assignment, ref.assignment)
+        and got.cut_size == ref.cut_size
+        and got.fitness == ref.fitness
+    )
+
+
+class TestGraphShipping:
+    """The front ships a graph once per shard, then its digest; every
+    fault that empties a shard's graph store behind the front's back
+    costs exactly one ``NEEDS_GRAPH`` resend and never a wrong answer."""
+
+    def test_concurrent_ships_count_every_attempt(self):
+        """16 threads ship to 4 peers through one shipper: every call is
+        counted exactly once and the per-peer memory stays bounded."""
+        import sys
+
+        from repro.obs import MetricsRegistry
+        from repro.service.shipping import NEEDS_GRAPH, GraphShipper
+
+        shipper = GraphShipper(cap=8, registry=MetricsRegistry())
+
+        def send(full):
+            return "ok" if full else NEEDS_GRAPH  # peers forget everything
+
+        def worker(i):
+            for j in range(50):
+                assert shipper.ship(j % 4, [f"d{(i + j) % 12}"], send) == "ok"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(16)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        ships = _ships(shipper.registry.snapshot())
+        assert ships["graph"] + ships["digest"] == 16 * 50
+        assert ships["resend"] == ships["digest"]
+        for peer in range(4):
+            held = sum(shipper.holds(peer, f"d{k}") for k in range(12))
+            assert held == 8
+
+    def test_digest_request_codec_roundtrip(self, graph):
+        from repro.service.shipping import GraphRef, by_ref
+        from repro.service.transport import (
+            decode_frame_binary,
+            decode_message,
+            encode_frame_binary,
+            encode_message,
+        )
+
+        message = (3, "submit", (by_ref(PartitionRequest(graph, 4, seed=2)),))
+        for back in (
+            decode_message(encode_message(message)),
+            decode_frame_binary(b"".join(
+                bytes(part) for part in encode_frame_binary(message)
+            )[1:]),
+        ):
+            ref = back[2][0].graph
+            assert isinstance(ref, GraphRef)
+            assert ref.digest == graph_digest(graph)
+            assert ref.n_nodes == graph.n_nodes
+            assert back[2][0].seed == 2
+
+    def test_http_body_cannot_name_a_graph_by_digest(self, graph):
+        from repro.service.http import dispatch_request
+
+        body = PartitionRequest(graph, 4).to_payload()
+        body["graph"] = {"ref": graph_digest(graph), "n_nodes": graph.n_nodes}
+        with PartitionService(n_workers=1) as svc:
+            status, _, _ = dispatch_request(
+                svc, "POST", "/v1/partition", json.dumps(body).encode()
+            )
+        assert status == 400
+
+    def test_repeat_ships_digest_only(self, graph):
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            answers = [svc.submit(req) for _ in range(3)]
+            assert _ships(svc.registry.snapshot()) == {"graph": 1, "digest": 2}
+            # the fleet-wide snapshot carries the front's counter too
+            assert _ships(svc.metrics()) == {"graph": 1, "digest": 2}
+        assert all(_same_answer(a, ref) for a in answers)
+        assert [a.cache_hit for a in answers] == [False, True, True]
+
+    def test_restarted_shard_costs_one_resend(self, graph):
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            shard = svc.shard_of(graph)
+            first = svc.submit(req)
+            svc._slots[shard].handle.process.kill()
+            assert _wait_for(
+                lambda: svc.shard_health()[shard]["state"] == "up"
+                and svc.shard_health()[shard]["restarts"] == 1
+            )
+            # the replacement starts with an empty graph store
+            after = [svc.submit(req) for _ in range(2)]
+            assert _ships(svc.registry.snapshot()) == {
+                "graph": 1, "digest": 2, "resend": 1,
+            }
+        assert all(_same_answer(a, ref) for a in [first, *after])
+
+    def test_evicted_graph_costs_one_resend(self, graph):
+        from repro.service.cache import graph_nbytes
+
+        other = mesh_graph(48, seed=11)
+        a = PartitionRequest(graph, 4, seed=0, ga=GA)
+        b = PartitionRequest(other, 4, seed=0, ga=GA)
+        ref_a, ref_b = _serial(a, b)
+        # the shard's graph store (half of cache_bytes) holds one graph
+        one = max(graph_nbytes(graph), graph_nbytes(other))
+        with ShardedPartitionService(
+            n_shards=1, n_workers=1, cache_bytes=3 * one
+        ) as svc:
+            got = [svc.submit(a), svc.submit(b), svc.submit(a)]
+            assert _ships(svc.registry.snapshot()) == {
+                "graph": 2, "digest": 1, "resend": 1,
+            }
+        assert _same_answer(got[0], ref_a) and _same_answer(got[2], ref_a)
+        assert _same_answer(got[1], ref_b)
+
+    def test_socket_shard_restarted_behind_the_front(self, graph):
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        server = ShardServer(n_workers=1).start()
+        port = server.listener.port
+        front = ShardedPartitionService(attach=[server.address])
+        try:
+            got = [front.submit(req), front.submit(req)]
+            server.close()  # state gone; the front's connection breaks
+            assert _wait_for(lambda: front.shard_health()[0]["state"] == "down")
+            server = ShardServer(port=port, n_workers=1).start()
+            got.append(front.submit(req))  # lazy re-attach, then resend
+            assert _ships(front.registry.snapshot()) == {
+                "graph": 1, "digest": 2, "resend": 1,
+            }
+        finally:
+            front.close()
+            server.close()
+        assert all(_same_answer(a, ref) for a in got)
+
+    def test_resize_moves_owner_and_costs_one_resend(self):
+        """2→3 moves the digest to the new slot 2 (first contact: the
+        graph ships), 3→2 moves it back to a shard that still holds it
+        (digest), and 3 again brings a *new* process into slot 2 that
+        the front still believes holds the graph: one resend."""
+        graph = next(
+            g for g in (mesh_graph(48, seed=s) for s in range(64))
+            if HashRing(3).owner(graph_digest(g)) == 2
+        )
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            got = [svc.submit(req)]
+            for width in (3, 2, 3):
+                svc.resize(width)
+                got.append(svc.submit(req))
+            assert [r.shard for r in got[1:]] == [2, got[0].shard, 2]
+            assert _ships(svc.registry.snapshot()) == {
+                "graph": 2, "digest": 2, "resend": 1,
+            }
+        assert all(_same_answer(a, ref) for a in got)
+
+
+# ----------------------------------------------------------------------
 # exception round-trip hardening (PR 5 satellite)
 # ----------------------------------------------------------------------
 
@@ -1087,11 +1280,11 @@ class TestProcessExecution:
             svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             pool = svc.scheduler.process_pool
             digest = graph_digest(graph)
-            assert svc._was_shipped(pool.slot(digest), digest)
+            assert svc.shipper.holds(pool.slot(digest), digest)
             # a second distinct request reuses the shipped graph
             r2 = svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
             assert r2.executed_in == "process"
-            assert sum(len(d) for d in svc._shipped.values()) == 1
+            assert _ships(svc.metrics()) == {"graph": 1, "digest": 1}
 
     def test_worker_resends_graph_after_state_loss(self, graph):
         """The NEEDS_GRAPH fallback: if the parent believes a graph was
@@ -1102,9 +1295,10 @@ class TestProcessExecution:
         ) as svc:
             digest = graph_digest(graph)
             slot = svc.scheduler.process_pool.slot(digest)
-            svc._mark_shipped(slot, digest)  # lie: nothing was shipped
+            svc.shipper.mark(slot, [digest])  # lie: nothing was shipped
             r = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
             assert r.executed_in == "process"
+            assert _ships(svc.metrics()) == {"digest": 1, "resend": 1}
         with PartitionService(n_workers=1) as svc:
             ref = svc.submit(PartitionRequest(graph, 4, seed=0, ga=GA))
         assert np.array_equal(r.assignment, ref.assignment)
@@ -1119,11 +1313,12 @@ class TestProcessExecution:
         with PartitionService(
             n_workers=1, process_workers=1, process_threshold=0
         ) as svc:
-            for i in range(WORKER_GRAPH_CAP + 5):
-                svc._mark_shipped(0, f"digest-{i}")
-            assert len(svc._shipped[0]) == WORKER_GRAPH_CAP
-            assert not svc._was_shipped(0, "digest-0")  # evicted
-            assert svc._was_shipped(0, f"digest-{WORKER_GRAPH_CAP + 4}")
+            names = [f"digest-{i}" for i in range(WORKER_GRAPH_CAP + 5)]
+            for name in names:
+                svc.shipper.mark(0, [name])
+            assert sum(svc.shipper.holds(0, n) for n in names) == WORKER_GRAPH_CAP
+            assert not svc.shipper.holds(0, "digest-0")  # evicted
+            assert svc.shipper.holds(0, names[-1])
 
     def test_serve_rejects_service_plus_shards(self, graph):
         from repro.service import make_server
