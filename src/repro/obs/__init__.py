@@ -75,7 +75,9 @@ from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     histogram_percentile,
+    latency_digest,
     merge_snapshots,
+    observe_request,
     render_prometheus,
 )
 from .trace import NULL_SPAN, Span, Tracer, span_tree
@@ -91,6 +93,8 @@ __all__ = [
     "merge_snapshots",
     "render_prometheus",
     "histogram_percentile",
+    "latency_digest",
+    "observe_request",
     "ExecRecorder",
     "recording",
     "emit_generation",

@@ -42,6 +42,8 @@ __all__ = [
     "merge_snapshots",
     "render_prometheus",
     "histogram_percentile",
+    "latency_digest",
+    "observe_request",
 ]
 
 METRICS_SCHEMA = "repro.obs/v1"
@@ -251,6 +253,34 @@ def histogram_percentile(hist: dict, quantile: float) -> Optional[float]:
         seen += n
         lower = upper
     return float(le[-1]) if le else None
+
+
+def observe_request(
+    registry: MetricsRegistry, endpoint: str, latency_s: float
+) -> None:
+    """Count one answered request in ``repro_requests_total`` and
+    ``repro_request_latency_ms`` (what :func:`latency_digest` reads)."""
+    registry.inc("repro_requests_total", endpoint=endpoint)
+    registry.observe(
+        "repro_request_latency_ms", latency_s * 1e3, endpoint=endpoint
+    )
+
+
+def latency_digest(snapshot: dict) -> dict:
+    """Per-endpoint ``{count, p50_ms, p95_ms, p99_ms}`` read from a
+    snapshot's ``repro_request_latency_ms`` histograms — the
+    ``latency_ms`` section of a service's ``metrics()``."""
+    digest: dict = {}
+    for hist in snapshot["histograms"]:
+        if hist["name"] != "repro_request_latency_ms":
+            continue
+        digest[hist["labels"].get("endpoint", "")] = {
+            "count": hist["count"],
+            "p50_ms": round(histogram_percentile(hist, 0.50), 3),
+            "p95_ms": round(histogram_percentile(hist, 0.95), 3),
+            "p99_ms": round(histogram_percentile(hist, 0.99), 3),
+        }
+    return digest
 
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")

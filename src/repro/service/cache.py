@@ -11,7 +11,8 @@ identity by construction.
 Three stores hang off those names:
 
 * :class:`LRUBytesCache` — a generic thread-safe LRU bounded by a byte
-  budget, with hit/miss/eviction counters; backs the result cache.
+  budget, with hit/miss/eviction counters; :class:`ResultCache` is the
+  result cache built on it (the service's, and the sharded front's).
 * :class:`GraphStore` — interns :class:`CSRGraph` instances by digest,
   so repeated requests on the same graph (or a graph arriving again
   over the wire) reuse one CSR build along with its memoized strength
@@ -42,6 +43,7 @@ __all__ = [
     "graph_digest",
     "request_key",
     "LRUBytesCache",
+    "ResultCache",
     "GraphStore",
     "ContentStore",
 ]
@@ -260,6 +262,33 @@ def _result_nbytes(result: JobResult) -> int:
     return int(np.asarray(result.assignment).nbytes) + 256
 
 
+def neutral_result(result: JobResult) -> JobResult:
+    """The form a result is kept in (cache, write-behind journal): the
+    hit/latency flags describe the serving request, not the one that
+    happened to populate the store, and trace spans belong to the
+    request that recorded them."""
+    return result.replace(
+        cache_hit=False, coalesced=False, latency_s=0.0, spans=None
+    )
+
+
+class ResultCache(LRUBytesCache):
+    """Result LRU keyed by :func:`request_key`: it stores a neutral copy
+    of each answer and hands out copies marked as cache hits.  Backs the
+    service's result cache and the sharded front's store."""
+
+    def lookup(self, key: str) -> Optional[JobResult]:
+        """A *copy* of the cached result (caller owns mutation flags)."""
+        cached = self.get(key)
+        if cached is None:
+            return None
+        return cached.replace(cache_hit=True)
+
+    def store(self, key: str, result: JobResult) -> None:
+        copy = neutral_result(result)
+        self.put(key, copy, _result_nbytes(copy))
+
+
 class ContentStore:
     """The service's cache plane: results + interned graphs + warm seeds.
 
@@ -271,24 +300,8 @@ class ContentStore:
     def __init__(self, cache_bytes: int = 64 << 20, max_seeds: int = 256) -> None:
         if cache_bytes < 0:
             raise ServiceError(f"cache_bytes must be >= 0, got {cache_bytes}")
-        self.results = LRUBytesCache(cache_bytes // 2)
+        self.results = ResultCache(cache_bytes // 2)
         self.graphs = GraphStore(cache_bytes - cache_bytes // 2, max_seeds)
-
-    def lookup_result(self, key: str) -> Optional[JobResult]:
-        """A *copy* of the cached result (caller owns mutation flags)."""
-        cached = self.results.get(key)
-        if cached is None:
-            return None
-        return cached.replace(cache_hit=True)
-
-    def store_result(self, key: str, result: JobResult) -> None:
-        # store a neutral copy: hit/latency flags describe the serving
-        # request, not the one that happened to populate the cache (and
-        # trace spans belong to the request that recorded them)
-        neutral = result.replace(
-            cache_hit=False, coalesced=False, latency_s=0.0, spans=None
-        )
-        self.results.put(key, neutral, _result_nbytes(neutral))
 
     def stats(self) -> dict:
         return {

@@ -51,10 +51,10 @@ from ..ga.config import GAConfig
 from ..ga.fitness import make_fitness
 from ..graphs.csr import CSRGraph
 from ..obs.hooks import ExecRecorder, recording
-from ..obs.metrics import MetricsRegistry, histogram_percentile
+from ..obs.metrics import MetricsRegistry, latency_digest, observe_request
 from ..obs.trace import NULL_SPAN, Tracer
 from ..partition.partition import Partition
-from .cache import ContentStore, request_key
+from .cache import ContentStore, neutral_result, request_key
 from .config import ServiceConfig
 from .models import (
     JobResult,
@@ -296,7 +296,7 @@ class PartitionService:
             digest, graph = self.store.graphs.intern(request.graph)
             request = _with_graph(request, graph)
             key = request_key(request, digest=digest)
-            result = self.store.lookup_result(key)
+            result = self.store.results.lookup(key)
             if result is None:
                 # the leader's job publishes (cache + warm seed) *before*
                 # the scheduler drops its in-flight entry, so a same-key
@@ -336,7 +336,7 @@ class PartitionService:
             lane=result.executed_in or "thread",
         )
         span.close()
-        self._observe_request(endpoint, latency)
+        observe_request(self.registry, endpoint, latency)
         # remote-rooted spans collect their subtree; ship it back in the
         # reply so the front can stitch one tree.  A coalesced follower
         # may have copied the leader's result (leader's spans) — always
@@ -370,12 +370,13 @@ class PartitionService:
             digest, graph = self.store.graphs.intern(request.graph)
             request = _with_graph(request, graph)
             key = request_key(request, digest=digest)
-            cached = self.store.lookup_result(key)
+            cached = self.store.results.lookup(key)
             if cached is not None:
                 cached.latency_s = time.perf_counter() - item_t0
                 cached.request_key = key
                 self.latency.add(cached.latency_s)
-                self._observe_request(
+                observe_request(
+                    self.registry,
                     "refine" if isinstance(request, RefineRequest)
                     else "partition",
                     cached.latency_s,
@@ -402,7 +403,7 @@ class PartitionService:
             def run_and_publish(b=batch, ks=keys, d=digest):
                 group = self._execute_refine_group(b)
                 for req, k, res in zip(b, ks, group):
-                    self.store.store_result(k, res)
+                    self.store.results.store(k, res)
                     self._store_warm_seed(req, d, res)
                     self._record_result(k, res)
                 return group
@@ -418,7 +419,7 @@ class PartitionService:
                 result.latency_s = group_s
                 result.request_key = key
                 self.latency.add(result.latency_s)
-                self._observe_request("refine", group_s)
+                observe_request(self.registry, "refine", group_s)
                 results[i] = result
 
         # remaining misses are independent jobs; fan them out so the
@@ -499,7 +500,7 @@ class PartitionService:
         self.session_latency.add(latency)
         span.set(session_id=session.id)
         span.close()
-        self._observe_request("open_session", latency)
+        observe_request(self.registry, "open_session", latency)
         result = result_from_partition(
             partition,
             "dknux-incremental",
@@ -576,7 +577,7 @@ class PartitionService:
         self.session_latency.add(latency)
         result.latency_s = latency
         span.close()
-        self._observe_request("update_session", latency)
+        observe_request(self.registry, "update_session", latency)
         collected = span.collected()
         result.spans = collected if collected else None
         return result
@@ -674,7 +675,7 @@ class PartitionService:
                     result = JobResult.from_payload(payload)
                 except (ReproError, KeyError, ValueError, TypeError):
                     continue  # corrupt entry: skip, never fatal
-                self.store.store_result(key, result)
+                self.store.results.store(key, result)
                 self._seed_from_key(key, result)
                 warmed += 1
         self._results_warmed += warmed
@@ -690,7 +691,7 @@ class PartitionService:
                 result = JobResult.from_payload(payload)
             except (ReproError, KeyError, ValueError, TypeError):
                 continue
-            self.store.store_result(key, result)
+            self.store.results.store(key, result)
             self._seed_from_key(key, result)
             warmed += 1
         self._results_warmed += warmed
@@ -700,10 +701,7 @@ class PartitionService:
         (same neutral form the cache stores)."""
         if self.write_behind is None:
             return
-        neutral = result.replace(
-            cache_hit=False, coalesced=False, latency_s=0.0, spans=None
-        )
-        self.write_behind.record(key, neutral.to_payload())
+        self.write_behind.record(key, neutral_result(result).to_payload())
 
     def _seed_from_key(self, key: str, result: JobResult) -> None:
         """Re-seed the warm-start store from a replayed journal entry.
@@ -749,18 +747,7 @@ class PartitionService:
         per-endpoint request-latency percentiles derived from the
         ``repro_request_latency_ms`` histograms."""
         snap = self.registry.snapshot()
-        digest: dict = {}
-        for hist in snap["histograms"]:
-            if hist["name"] != "repro_request_latency_ms":
-                continue
-            endpoint = hist["labels"].get("endpoint", "")
-            digest[endpoint] = {
-                "count": hist["count"],
-                "p50_ms": round(histogram_percentile(hist, 0.50), 3),
-                "p95_ms": round(histogram_percentile(hist, 0.95), 3),
-                "p99_ms": round(histogram_percentile(hist, 0.99), 3),
-            }
-        snap["latency_ms"] = digest
+        snap["latency_ms"] = latency_digest(snap)
         return snap
 
     def close(self) -> None:
@@ -824,12 +811,6 @@ class PartitionService:
             return None
         return config
 
-    def _observe_request(self, endpoint: str, latency_s: float) -> None:
-        self.registry.inc("repro_requests_total", endpoint=endpoint)
-        self.registry.observe(
-            "repro_request_latency_ms", latency_s * 1e3, endpoint=endpoint
-        )
-
     def _recorded(self, span, fn):
         """Run ``fn``; when ``span`` is live, install the GA progress
         recorder so generation and kernel hooks land under it.  The
@@ -849,7 +830,7 @@ class PartitionService:
             result = self._recorded(
                 exec_span, lambda: self._execute(request, digest)
             )
-        self.store.store_result(key, result)
+        self.store.results.store(key, result)
         self._store_warm_seed(request, digest, result)
         self._record_result(key, result)
         return result
@@ -915,7 +896,7 @@ class PartitionService:
         result = result_from_partition(
             partition, request.method, fitness=fitness, executed_in="process"
         )
-        self.store.store_result(key, result)
+        self.store.results.store(key, result)
         self._store_warm_seed(request, digest, result)
         self._record_result(key, result)
         return result

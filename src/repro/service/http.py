@@ -40,9 +40,11 @@ path                  method  body / response
 
 Each front memoises ``/v1/partition`` and ``/v1/refine`` decodes: the
 exact body bytes map to the validated request, so a repeat skips the
-JSON parse, CSR build and hash but still reaches the service.  The LRU
-is bounded by :data:`DECODE_MEMO_BYTES` (body plus graph arrays per
-entry); bodies that fail to decode or validate are never memoised.
+JSON parse, CSR build and hash and is handed to the service like any
+other request (a sharded service may then answer it from its front
+result store without a shard hop).  The LRU is bounded by
+:data:`DECODE_MEMO_BYTES` (body plus graph arrays per entry); bodies
+that fail to decode or validate are never memoised.
 
 Malformed payloads (bad JSON, bad graph bytes, invalid parameters)
 answer ``400`` with ``{"error": ...}``; unknown paths ``404``; unknown

@@ -464,7 +464,7 @@ class JobResult:
         out to arbitrary callers, and a caller sorting ``part_sizes``
         or editing ``portfolio`` must not corrupt the cached entry."""
         out = JobResult(**{**self.__dict__, **kwargs})
-        out.assignment = np.array(self.assignment, dtype=np.int64, copy=True)
+        out.assignment = np.array(out.assignment, dtype=np.int64, copy=True)
         if out.part_sizes is self.part_sizes:
             out.part_sizes = list(self.part_sizes)
         if out.portfolio is not None and out.portfolio is self.portfolio:

@@ -59,6 +59,16 @@ lane): the front ships a graph to a slot once, then only its digest.  A
 shard that lost it — restarted, evicted, or a new process after a
 resize — answers ``NEEDS_GRAPH`` and the front resends once in full.
 
+Front result store: the front keeps every successful shard answer in a
+:class:`~repro.service.cache.ResultCache` keyed by
+:func:`~repro.service.cache.request_key` (budget ``cache_bytes // 2``,
+one shard's result half).  A repeat is answered there and never reaches
+a shard; ``shard`` on such an answer is the ring's current owner.  Errors
+and ``NEEDS_GRAPH`` replies are never stored.  Answers are fixed per key
+(bit-identity, the assumption every shard's own result cache makes), so
+a stored repeat answers bit-identically even while its owner is down or
+ejected.
+
 Fault tolerance (PR 5): every shard lives in a supervised slot with
 health tracking.  A shard death (reader-thread EOF, send failure) fails
 all in-flight requests for that shard *fast* with
@@ -105,11 +115,12 @@ from ..graphs.csr import CSRGraph
 from ..obs.logs import get_logger
 from ..obs.metrics import (
     MetricsRegistry,
-    histogram_percentile,
+    latency_digest,
     merge_snapshots,
+    observe_request,
 )
 from ..obs.trace import Tracer
-from .cache import graph_digest
+from .cache import ResultCache, graph_digest, request_key
 from .config import ServiceConfig
 from .models import JobResult, UpdateRequest
 from .ring import RING_PROTOCOL_VERSION, HashRing
@@ -777,6 +788,11 @@ class ShardedPartitionService:
         self.registry = MetricsRegistry()
         #: digest-first graph shipping, keyed by slot index
         self.shipper = GraphShipper(SHIPPED_PER_SHARD, self.registry)
+        #: answers the front has seen, by request key: a repeat is
+        #: answered here without a shard hop.  Sized like one shard's
+        #: result half; answers are fixed per key (bit-identity), the
+        #: same assumption every shard's own result cache makes.
+        self.front_cache = ResultCache(config.cache_bytes // 2)
         self._mp_ctx = multiprocessing.get_context()
         self._fleet_lock = threading.Lock()
         self._fleet_cond = threading.Condition(self._fleet_lock)
@@ -869,6 +885,12 @@ class ShardedPartitionService:
                 for slot, share in sorted(shares.items())
             ]
 
+        # front hits are result-cache hits the shards never see; front
+        # misses are not counted, the owning shard's lookup counts them
+        reg.counter_fn(
+            "repro_cache_hits_total",
+            lambda: [({"cache": "results"}, float(self.front_cache.hits))],
+        )
         reg.gauge_fn("repro_ring_epoch", ring_epoch)
         reg.gauge_fn("repro_ring_members", ring_members)
         reg.gauge_fn("repro_ring_ownership_ratio", ring_shares)
@@ -1207,33 +1229,66 @@ class ShardedPartitionService:
         result.shard = shard
         return result
 
+    def _front_hit(
+        self, request, key: str, shard: int, t0: float
+    ) -> Optional[JobResult]:
+        """The stored answer to ``key`` marked as this request's cache
+        hit from ``shard`` (the current owner), or ``None``.  A hit is
+        counted in the front registry like a shard counts its own."""
+        result = self.front_cache.lookup(key)
+        if result is None:
+            return None
+        result.latency_s = time.perf_counter() - t0
+        result.request_key = key
+        observe_request(self.registry, request.kind, result.latency_s)
+        return self._mark(result, shard)
+
+    def _remember(self, key: str, result) -> None:
+        if isinstance(result, JobResult):  # never a NEEDS_GRAPH reply
+            self.front_cache.store(key, result)
+
     # -- verbs ---------------------------------------------------------
     def submit(self, request) -> JobResult:
         self._check_open()
+        t0 = time.perf_counter()
         digest = graph_digest(request.graph)
+        key = request_key(request, digest)
         shard = self.ring.owner(digest)
         span = self.tracer.start(
             "front.submit", parent=request.trace,
             attrs={"endpoint": "partition", "shard": shard},
         )
         with span:
+            hit = self._front_hit(request, key, shard, t0)
+            if hit is not None:
+                span.set(cache="front")
+                return hit
             result = self.shipper.ship(
                 shard, [digest],
                 lambda full: self._traced_call(
                     span, shard, "submit", request if full else by_ref(request)
                 ),
             )
+        self._remember(key, result)
         return self._mark(result, shard)
 
     def submit_many(self, requests: Sequence) -> list[JobResult]:
-        """Batch submission: the batch splits by shard, each sub-batch
-        keeps its relative order (so per-shard coalescing behaves as in
-        a single process), and sub-batches run concurrently."""
+        """Batch submission: items the front store answers return at
+        once; the rest split by shard, each sub-batch keeps its relative
+        order (so per-shard coalescing behaves as in a single process),
+        and sub-batches run concurrently."""
         self._check_open()
+        results: list[Optional[JobResult]] = [None] * len(requests)
+        keys: list[str] = []
         by_shard: dict[int, list[int]] = {}
         for i, request in enumerate(requests):
-            by_shard.setdefault(self.shard_of(request.graph), []).append(i)
-        results: list[Optional[JobResult]] = [None] * len(requests)
+            t0 = time.perf_counter()
+            digest = graph_digest(request.graph)
+            shard = self.ring.owner(digest)
+            keys.append(request_key(request, digest))
+            results[i] = self._front_hit(request, keys[i], shard, t0)
+            if results[i] is None:
+                by_shard.setdefault(shard, []).append(i)
 
         span = self.tracer.start(
             "front.submit_many",
@@ -1251,6 +1306,7 @@ class ShardedPartitionService:
                 ),
             )
             for i, result in zip(members, out):
+                self._remember(keys[i], result)
                 results[i] = self._mark(result, shard)
 
         with span:
@@ -1327,6 +1383,12 @@ class ShardedPartitionService:
                 shards.append(handle.call("stats"))
             except ShardDiedError as exc:
                 shards.append({"unavailable": str(exc)})
+        totals = _merge_stats(shards)
+        front = self.front_cache.stats()
+        del front["misses"]  # the owning shard's lookup counts those
+        # a front hit is a result-cache hit the shards never saw
+        results = totals.setdefault("cache", {}).setdefault("results", {})
+        results["hits"] = results.get("hits", 0) + front["hits"]
         return {
             "n_shards": self.n_shards,
             "sessions_routed": routed,
@@ -1337,7 +1399,8 @@ class ShardedPartitionService:
             # the raw per-shard rows themselves and quietly lost any key
             # not present on every row (mixed configs, unavailable
             # shards) — the merge rules live in _merge_stats
-            "totals": _merge_stats(shards),
+            "totals": totals,
+            "front_cache": front,
         }
 
     def metrics(self) -> dict:
@@ -1358,18 +1421,7 @@ class ShardedPartitionService:
         reporting = len(snapshots)
         snapshots.append(self.registry.snapshot())
         merged = merge_snapshots(snapshots)
-        digest: dict = {}
-        for hist in merged["histograms"]:
-            if hist["name"] != "repro_request_latency_ms":
-                continue
-            endpoint = hist["labels"].get("endpoint", "")
-            digest[endpoint] = {
-                "count": hist["count"],
-                "p50_ms": round(histogram_percentile(hist, 0.50), 3),
-                "p95_ms": round(histogram_percentile(hist, 0.95), 3),
-                "p99_ms": round(histogram_percentile(hist, 0.99), 3),
-            }
-        merged["latency_ms"] = digest
+        merged["latency_ms"] = latency_digest(merged)
         merged["n_shards"] = self.n_shards
         merged["shards_reporting"] = reporting
         return merged

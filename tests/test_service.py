@@ -160,6 +160,20 @@ class TestModels:
         assert base.portfolio[0]["method"] == "kl"
         assert base.assignment[0] != 99
 
+    def test_job_result_replace_honours_assignment(self):
+        base = JobResult(
+            assignment=np.zeros(6, dtype=np.int64), n_parts=2, cut_size=1.0,
+            max_part_cut=1.0, balance_ratio=1.0, part_sizes=[6, 0],
+            method="x",
+        )
+        override = np.array([0, 1, 0, 1, 0, 1])
+        copy = base.replace(assignment=override)
+        assert copy.assignment.tolist() == override.tolist()
+        assert copy.assignment.dtype == np.int64
+        override[0] = 1  # the copy owns its array, like every other field
+        assert copy.assignment[0] == 0
+        assert not base.assignment.any()
+
     def test_bad_refine_and_update_requests_rejected(self, graph, rng):
         with pytest.raises(ServiceError):
             RefineRequest(graph, 2, rng.integers(0, 2, 5))  # wrong length

@@ -1103,33 +1103,37 @@ class TestGraphShipping:
         assert status == 400
 
     def test_repeat_ships_digest_only(self, graph):
-        req = PartitionRequest(graph, 4, seed=0, ga=GA)
-        (ref,) = _serial(req)
+        # distinct seeds on one graph: each request reaches the shard
+        # (an identical repeat is answered by the front store instead)
+        reqs = [PartitionRequest(graph, 4, seed=s, ga=GA) for s in range(3)]
+        refs = _serial(*reqs)
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
-            answers = [svc.submit(req) for _ in range(3)]
+            answers = [svc.submit(r) for r in reqs]
             assert _ships(svc.registry.snapshot()) == {"graph": 1, "digest": 2}
             # the fleet-wide snapshot carries the front's counter too
             assert _ships(svc.metrics()) == {"graph": 1, "digest": 2}
-        assert all(_same_answer(a, ref) for a in answers)
-        assert [a.cache_hit for a in answers] == [False, True, True]
+        assert all(_same_answer(a, ref) for a, ref in zip(answers, refs))
+        assert [a.cache_hit for a in answers] == [False, False, False]
 
     def test_restarted_shard_costs_one_resend(self, graph):
-        req = PartitionRequest(graph, 4, seed=0, ga=GA)
-        (ref,) = _serial(req)
+        reqs = [PartitionRequest(graph, 4, seed=s, ga=GA) for s in range(3)]
+        refs = _serial(*reqs)
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
             shard = svc.shard_of(graph)
-            first = svc.submit(req)
+            first = svc.submit(reqs[0])
             svc._slots[shard].handle.process.kill()
             assert _wait_for(
                 lambda: svc.shard_health()[shard]["state"] == "up"
                 and svc.shard_health()[shard]["restarts"] == 1
             )
             # the replacement starts with an empty graph store
-            after = [svc.submit(req) for _ in range(2)]
+            after = [svc.submit(r) for r in reqs[1:]]
             assert _ships(svc.registry.snapshot()) == {
                 "graph": 1, "digest": 2, "resend": 1,
             }
-        assert all(_same_answer(a, ref) for a in [first, *after])
+        assert all(
+            _same_answer(a, ref) for a, ref in zip([first, *after], refs)
+        )
 
     def test_evicted_graph_costs_one_resend(self, graph):
         from repro.service.cache import graph_nbytes
@@ -1137,38 +1141,39 @@ class TestGraphShipping:
         other = mesh_graph(48, seed=11)
         a = PartitionRequest(graph, 4, seed=0, ga=GA)
         b = PartitionRequest(other, 4, seed=0, ga=GA)
-        ref_a, ref_b = _serial(a, b)
+        a2 = PartitionRequest(graph, 4, seed=1, ga=GA)
+        ref_a, ref_b, ref_a2 = _serial(a, b, a2)
         # the shard's graph store (half of cache_bytes) holds one graph
         one = max(graph_nbytes(graph), graph_nbytes(other))
         with ShardedPartitionService(
             n_shards=1, n_workers=1, cache_bytes=3 * one
         ) as svc:
-            got = [svc.submit(a), svc.submit(b), svc.submit(a)]
+            got = [svc.submit(a), svc.submit(b), svc.submit(a2)]
             assert _ships(svc.registry.snapshot()) == {
                 "graph": 2, "digest": 1, "resend": 1,
             }
-        assert _same_answer(got[0], ref_a) and _same_answer(got[2], ref_a)
+        assert _same_answer(got[0], ref_a) and _same_answer(got[2], ref_a2)
         assert _same_answer(got[1], ref_b)
 
     def test_socket_shard_restarted_behind_the_front(self, graph):
-        req = PartitionRequest(graph, 4, seed=0, ga=GA)
-        (ref,) = _serial(req)
+        reqs = [PartitionRequest(graph, 4, seed=s, ga=GA) for s in range(3)]
+        refs = _serial(*reqs)
         server = ShardServer(n_workers=1).start()
         port = server.listener.port
         front = ShardedPartitionService(attach=[server.address])
         try:
-            got = [front.submit(req), front.submit(req)]
+            got = [front.submit(reqs[0]), front.submit(reqs[1])]
             server.close()  # state gone; the front's connection breaks
             assert _wait_for(lambda: front.shard_health()[0]["state"] == "down")
             server = ShardServer(port=port, n_workers=1).start()
-            got.append(front.submit(req))  # lazy re-attach, then resend
+            got.append(front.submit(reqs[2]))  # lazy re-attach, then resend
             assert _ships(front.registry.snapshot()) == {
                 "graph": 1, "digest": 2, "resend": 1,
             }
         finally:
             front.close()
             server.close()
-        assert all(_same_answer(a, ref) for a in got)
+        assert all(_same_answer(a, ref) for a, ref in zip(got, refs))
 
     def test_resize_moves_owner_and_costs_one_resend(self):
         """2→3 moves the digest to the new slot 2 (first contact: the
@@ -1179,18 +1184,192 @@ class TestGraphShipping:
             g for g in (mesh_graph(48, seed=s) for s in range(64))
             if HashRing(3).owner(graph_digest(g)) == 2
         )
-        req = PartitionRequest(graph, 4, seed=0, ga=GA)
-        (ref,) = _serial(req)
+        reqs = [PartitionRequest(graph, 4, seed=s, ga=GA) for s in range(4)]
+        refs = _serial(*reqs)
         with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
-            got = [svc.submit(req)]
-            for width in (3, 2, 3):
+            got = [svc.submit(reqs[0])]
+            for width, req in zip((3, 2, 3), reqs[1:]):
                 svc.resize(width)
                 got.append(svc.submit(req))
             assert [r.shard for r in got[1:]] == [2, got[0].shard, 2]
             assert _ships(svc.registry.snapshot()) == {
                 "graph": 2, "digest": 2, "resend": 1,
             }
-        assert all(_same_answer(a, ref) for a in got)
+        assert all(_same_answer(a, ref) for a, ref in zip(got, refs))
+
+
+def _counter(snapshot, name: str, **labels) -> float:
+    return sum(
+        c["value"] for c in snapshot["counters"]
+        if c["name"] == name
+        and all(c["labels"].get(k) == v for k, v in labels.items())
+    )
+
+
+def _shard_requests(svc) -> float:
+    """Requests the shards themselves answered (their registries only)."""
+    return sum(
+        _counter(svc._call(i, "metrics"), "repro_requests_total")
+        for i in svc.ring.members
+    )
+
+
+class TestFrontStore:
+    """The sharded front answers a request it has seen from its own
+    result store: no shard hop, the same bits, counted as a cache hit."""
+
+    def test_identical_repeat_makes_no_shard_call(self, graph):
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        other = PartitionRequest(graph, 4, seed=1, ga=GA)
+        ref, ref_other = _serial(req, other)
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, trace_enabled=True
+        ) as svc:
+            first = svc.submit(req)
+            ships = _ships(svc.registry.snapshot())
+            assert _shard_requests(svc) == 1
+            repeats = [svc.submit(req) for _ in range(3)]
+            assert _ships(svc.registry.snapshot()) == ships
+            assert _shard_requests(svc) == 1
+            # a batch sends only the item the store cannot answer
+            batch = svc.submit_many([req, other])
+            assert _shard_requests(svc) == 2
+            # one metrics surface: front hits count as requests and as
+            # result-cache hits; front misses are the shards' to count
+            front = svc.registry.snapshot()
+            assert _counter(
+                front, "repro_requests_total", endpoint="partition"
+            ) == 4
+            assert _counter(
+                svc.metrics(), "repro_cache_hits_total", cache="results"
+            ) == 4
+            stats = svc.stats()
+            assert stats["totals"]["cache"]["results"]["hits"] == 4
+            assert stats["front_cache"]["hits"] == 4
+            assert stats["front_cache"]["entries"] == 2
+            assert svc.metrics()["latency_ms"]["partition"]["count"] == 6
+            hit_spans = [
+                r for r in svc.tracer.records()
+                if r["name"] == "front.submit"
+                and r["attrs"].get("cache") == "front"
+            ]
+            assert len(hit_spans) == 3
+        assert not first.cache_hit
+        for got in [*repeats, batch[0]]:
+            assert _same_answer(got, ref)
+            assert got.cache_hit and got.shard == first.shard
+            assert got.request_key == first.request_key
+            assert got.latency_s > 0
+        assert _same_answer(batch[1], ref_other) and not batch[1].cache_hit
+
+    def test_errors_are_never_stored(self, graph):
+        bad = PartitionRequest(graph, 4, ga={"no_such_field": 1})
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            for _ in range(2):
+                with pytest.raises(ServiceError, match="bad ga overrides"):
+                    svc.submit(bad)
+            assert _shard_requests(svc) == 0  # both failed at the shard
+            assert svc.stats()["front_cache"]["entries"] == 0
+            with pytest.raises(ServiceError):
+                svc.submit_many([bad])
+            assert svc.stats()["front_cache"]["entries"] == 0
+
+    def test_repeat_answers_while_owner_is_dead(self, graph):
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        with ShardedPartitionService(
+            n_shards=2, n_workers=1, auto_restart=False
+        ) as svc:
+            shard = svc.shard_of(graph)
+            first = svc.submit(req)
+            svc._slots[shard].handle.process.kill()
+            assert _wait_for(lambda: svc.shard_health()[shard]["state"] == "down")
+            again = svc.submit(req)
+            assert again.shard == svc.ring.owner(graph_digest(graph))
+            with pytest.raises(ShardDiedError):
+                svc.submit(PartitionRequest(graph, 4, seed=1, ga=GA))
+        assert _same_answer(first, ref) and _same_answer(again, ref)
+        assert again.cache_hit
+
+    def test_resize_reports_the_new_owner(self):
+        graph = next(
+            g for g in (mesh_graph(48, seed=s) for s in range(64))
+            if HashRing(3).owner(graph_digest(g)) == 2
+        )
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        with ShardedPartitionService(n_shards=2, n_workers=1) as svc:
+            first = svc.submit(req)
+            svc.resize(3)
+            again = svc.submit(req)
+        assert first.shard != 2 and again.shard == 2
+        assert again.cache_hit and _same_answer(again, ref)
+
+    def test_tiny_budget_evicts_and_stays_within_it(self, graph):
+        reqs = [
+            PartitionRequest(graph, 4, seed=s, method="random")
+            for s in range(6)
+        ]
+        refs = _serial(*reqs)
+        per_result = graph.n_nodes * 8 + 256
+        with ShardedPartitionService(
+            n_shards=1, n_workers=1, cache_bytes=2 * (2 * per_result + 10)
+        ) as svc:
+            got = []
+            for req in reqs:
+                got.append(svc.submit(req))
+                front = svc.stats()["front_cache"]
+                assert front["bytes"] <= front["max_bytes"]
+            assert front["entries"] == 2 and front["evictions"] == 4
+            # the oldest answer was evicted: it goes back to the shard
+            before = _shard_requests(svc)
+            again = svc.submit(reqs[0])
+            assert _shard_requests(svc) == before + 1
+        assert all(_same_answer(a, ref) for a, ref in zip(got, refs))
+        assert _same_answer(again, refs[0])
+
+    def test_concurrent_repeats_keep_store_lock_a_leaf(self, graph, lock_graph):
+        """16 threads submit one request under the lock-order witness:
+        every answer is the same, the store holds one entry, and its
+        lock (an ``LRUBytesCache`` lock) has no lock acquired under it."""
+        import sys
+
+        req = PartitionRequest(graph, 4, seed=0, ga=GA)
+        (ref,) = _serial(req)
+        answers: list = []
+        interval = sys.getswitchinterval()
+        with LockWitness() as witness:
+            with ShardedPartitionService(n_shards=2, n_workers=2) as svc:
+                sys.setswitchinterval(1e-5)
+                try:
+                    threads = [
+                        threading.Thread(
+                            target=lambda: answers.append(svc.submit(req))
+                        )
+                        for _ in range(16)
+                    ]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(t.is_alive() for t in threads)
+                front = svc.stats()["front_cache"]
+                shard_calls = _shard_requests(svc)
+        assert len(answers) == 16
+        assert all(_same_answer(a, ref) for a in answers)
+        assert front["entries"] == 1
+        assert front["hits"] + shard_calls == 16
+        witness.assert_subgraph_of(lock_graph)
+
+        def name(site):
+            node = lock_graph.node_at(*site)
+            return None if node is None else node.name
+
+        assert "LRUBytesCache._lock" in {name(s) for s in witness.created}
+        outer = {name(o) for o, _ in witness.observed_edges()}
+        assert "LRUBytesCache._lock" not in outer
 
 
 # ----------------------------------------------------------------------
